@@ -2,11 +2,12 @@
 //!
 //! Times every prelude phase (`strip`, `bcat`, `mrct`, the fused
 //! `streamed` MRCT→postlude replay), every engine of the §2.4 depth-first
-//! comparison (`depth_first`, `depth_first_parallel_*` and
-//! `streamed_parallel_*` at pinned worker counts, `tree_table`), and the
-//! end-to-end exploration over the benchmark kernels, then writes
-//! `BENCH_dfs.json` at the repo root — schema `cachedse-bench-dfs/v5`,
-//! documented in `DESIGN.md` §11.
+//! comparison (`depth_first`, the default `hybrid`, `depth_first_parallel_*`
+//! and `streamed_parallel_*` at pinned worker counts, `tree_table`), the
+//! end-to-end exploration over the benchmark kernels — with the default
+//! engine, pinned to depth-first, and with the streamed fold in the
+//! engine's place — and the hybrid's crossover sweep, then writes `BENCH_dfs.json` at the repo root —
+//! schema `cachedse-bench-dfs/v6`, documented in `DESIGN.md` §11.
 //!
 //! ```text
 //! perf_report [--quick] [--samples N] [--out FILE] [--gate]
@@ -41,6 +42,19 @@
 //! also gate the fusion's memory claim: the streamed phase must not
 //! out-allocate the materialized MRCT build it replaces.
 //!
+//! v6 adds what the default engine is judged by. Per kernel: the `hybrid`
+//! engine row, `end_to_end_engines_ns` (the whole `explore` — strip,
+//! profile, frontier — with `depth_first` or the `streamed` fold computing
+//! the profiles), `frontier_ns` (the budget query alone on the default
+//! engine's exploration), `crossover_ns` (the hybrid at every swept
+//! crossover) and `peak_alloc_bytes` for `depth_first` and `hybrid`. At
+//! the top level, `hybrid_crossover` records the swept values, their suite
+//! totals, the fastest one and the compiled-in choice. Under `--gate` a
+//! kernel fails when the default engine's `end_to_end_ns` exceeds
+//! [`END_TO_END_FACTOR`]× the faster of its depth-first and streamed
+//! end-to-end times — the regression class that made the streamed fold the
+//! default while it ran data traces up to 20× slower.
+//!
 //! On single-core hosts the `depth_first_parallel_*` and
 //! `streamed_parallel_*` engine rows are skipped: worker-pool timings on a
 //! 1-wide machine measure scheduling overhead, not the engine. The report
@@ -54,13 +68,19 @@
 //! 4-worker scaling efficiency on the conflict-heaviest data traces
 //! ([`EFFICIENCY_GATED_KERNELS`]) must clear [`EFFICIENCY_FLOOR`].
 
+use std::hint::black_box;
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
-use cachedse_bench::{all_traces, alloc_track, crit::measure, NamedTrace};
-use cachedse_core::{dfs, postlude, streamed, Bcat, DesignSpaceExplorer, MissBudget, Mrct};
+use cachedse_bench::crit::{measure, measure_interleaved};
+use cachedse_bench::{all_traces, alloc_track, NamedTrace};
+use cachedse_core::{
+    dfs, hybrid, postlude, streamed, Bcat, DesignSpaceExplorer, Engine, Exploration, MissBudget,
+    Mrct,
+};
 use cachedse_json::Value;
 use cachedse_sync::thread;
+use cachedse_trace::stats::TraceStats;
 use cachedse_trace::strip::StrippedTrace;
 use cachedse_trace::Trace;
 
@@ -69,7 +89,15 @@ use cachedse_trace::Trace;
 static ALLOC: alloc_track::CountingAlloc = alloc_track::CountingAlloc;
 
 /// Schema tag of the emitted report.
-const SCHEMA: &str = "cachedse-bench-dfs/v5";
+const SCHEMA: &str = "cachedse-bench-dfs/v6";
+
+/// `--gate` fails a kernel whose default-engine `end_to_end_ns` exceeds
+/// this multiple of the faster of its depth-first and streamed end-to-end
+/// times from the same run.
+const END_TO_END_FACTOR: f64 = 1.5;
+
+/// The hybrid crossovers the sweep times, `C ∈ {64, …, 4096}`.
+const CROSSOVERS: [usize; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
 
 /// `--gate` fails when a measured MRCT, BCAT, or streamed phase exceeds
 /// its recorded post-rewrite baseline by more than this factor.
@@ -392,6 +420,7 @@ fn main() -> ExitCode {
         }
         failures.extend(gate_peaks(&report));
         failures.extend(gate_scaling(&report));
+        failures.extend(gate_end_to_end(&report));
         if !failures.is_empty() {
             eprintln!("perf_report: phase regression gate failed:");
             for f in failures {
@@ -401,7 +430,8 @@ fn main() -> ExitCode {
         }
         eprintln!(
             "perf_report: mrct, bcat, and streamed phases within {GATE_FACTOR}x of recorded \
-             baselines"
+             baselines; default-engine end to end within {END_TO_END_FACTOR}x of the faster of \
+             depth-first and streamed"
         );
     }
     ExitCode::SUCCESS
@@ -546,6 +576,44 @@ fn gate_scaling(report: &Value) -> Vec<String> {
     failures
 }
 
+/// The default engine's end-to-end claim as a gate: every kernel's
+/// `end_to_end_ns` must stay within [`END_TO_END_FACTOR`]× the faster of
+/// its depth-first and streamed `end_to_end_engines_ns` from the same run.
+fn gate_end_to_end(report: &Value) -> Vec<String> {
+    let mut failures = Vec::new();
+    let kernels = report
+        .get("kernels")
+        .and_then(Value::as_array)
+        .unwrap_or(&[]);
+    for kernel in kernels {
+        let Some(label) = kernel.get("label").and_then(Value::as_str) else {
+            continue;
+        };
+        let by_engine = |engine: &str| {
+            kernel
+                .get("end_to_end_engines_ns")
+                .and_then(|e| e.get(engine))
+                .and_then(Value::as_f64)
+        };
+        let (Some(default), Some(dfs), Some(streamed)) = (
+            kernel.get("end_to_end_ns").and_then(Value::as_f64),
+            by_engine("depth_first"),
+            by_engine("streamed"),
+        ) else {
+            failures.push(format!("{label}: missing end-to-end timings"));
+            continue;
+        };
+        let best = dfs.min(streamed);
+        if default > END_TO_END_FACTOR * best {
+            failures.push(format!(
+                "{label}: default-engine end to end {default:.0} ns exceeds {END_TO_END_FACTOR}x \
+                 the faster of depth-first and streamed ({best:.0} ns)"
+            ));
+        }
+    }
+    failures
+}
+
 fn check_existing(path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -590,26 +658,29 @@ fn run_report(quick: bool, samples: usize) -> Value {
         if peak_tracked { "on" } else { "off" }
     );
     println!(
-        "{:<16} {:>13} {:>13} {:>13} {:>13} {:>13} {:>13} {:>8} {:>8}",
+        "{:<16} {:>13} {:>13} {:>13} {:>13} {:>13} {:>13} {:>13} {:>8} {:>8}",
         "kernel",
         "mrct ns",
         "strm ns",
         "strm-p4 ns",
         "dfs ns",
         "dfs-p4 ns",
+        "hybrid ns",
         "tree ns",
         "vs-tree",
-        "vs-base"
+        "vs-best"
     );
 
-    let kernels: Vec<Value> = traces
+    let rows: Vec<(&NamedTrace, TraceRow)> = traces
         .iter()
         .map(|named| {
             let row = measure_trace(named, samples, measure_parallel);
             print_row(named, &row);
-            row.to_json(named)
+            (named, row)
         })
         .collect();
+    let crossover = crossover_summary(&rows);
+    let kernels: Vec<Value> = rows.iter().map(|(named, row)| row.to_json(named)).collect();
 
     Value::object([
         ("schema", Value::from(SCHEMA)),
@@ -618,7 +689,44 @@ fn run_report(quick: bool, samples: usize) -> Value {
         ("host_parallelism", Value::from(host as u64)),
         ("parallel_engines_measured", Value::from(measure_parallel)),
         ("peak_alloc_tracked", Value::from(peak_tracked)),
+        ("hybrid_crossover", crossover),
         ("kernels", Value::array(kernels)),
+    ])
+}
+
+/// The sweep's verdict: every swept crossover's hybrid time summed over
+/// the measured kernels, the fastest crossover, and the compiled-in
+/// [`hybrid::CROSSOVER`] the default engine runs.
+fn crossover_summary(rows: &[(&NamedTrace, TraceRow)]) -> Value {
+    let totals: Vec<f64> = (0..CROSSOVERS.len())
+        .map(|k| rows.iter().map(|(_, row)| row.crossover_ns[k]).sum())
+        .collect();
+    let best = CROSSOVERS
+        .iter()
+        .zip(&totals)
+        .min_by(|a, b| a.1.total_cmp(b.1))
+        .map_or(0, |(&c, _)| c);
+    eprintln!(
+        "perf_report: crossover sweep suite totals {:?} ns; fastest C = {best}, chosen C = {}",
+        CROSSOVERS.iter().zip(&totals).collect::<Vec<_>>(),
+        hybrid::CROSSOVER
+    );
+    Value::object([
+        ("chosen", Value::from(hybrid::CROSSOVER as u64)),
+        ("fastest", Value::from(best as u64)),
+        (
+            "candidates",
+            Value::array(CROSSOVERS.iter().map(|&c| Value::from(c as u64))),
+        ),
+        (
+            "suite_ns",
+            Value::object(
+                CROSSOVERS
+                    .iter()
+                    .zip(totals)
+                    .map(|(c, ns)| (c.to_string(), Value::from(ns))),
+            ),
+        ),
     ])
 }
 
@@ -635,12 +743,23 @@ struct TraceRow {
     mrct_ns: f64,
     streamed_ns: f64,
     depth_first_ns: f64,
+    hybrid_ns: f64,
     dfs_parallel_ns: Option<[f64; PARALLEL_WORKERS.len()]>,
     streamed_parallel_ns: Option<[f64; PARALLEL_WORKERS.len()]>,
     tree_table_ns: f64,
     end_to_end_ns: f64,
+    /// `explore` with depth-first, then the streamed fold, computing the
+    /// profiles.
+    end_to_end_engines_ns: [f64; 2],
+    /// `Exploration::result` on the default engine's exploration.
+    frontier_ns: f64,
+    /// The hybrid at each of [`CROSSOVERS`].
+    crossover_ns: [f64; CROSSOVERS.len()],
     peaks: Option<PhasePeaks>,
 }
+
+/// The JSON names of `end_to_end_engines_ns`, in [`TraceRow`] order.
+const END_TO_END_ENGINES: [&str; 2] = ["depth_first", "streamed"];
 
 /// Cold-build delta-peak heap bytes per phase (see [`phase_peak`]).
 struct PhasePeaks {
@@ -648,6 +767,8 @@ struct PhasePeaks {
     bcat: u64,
     mrct: u64,
     streamed: u64,
+    depth_first: u64,
+    hybrid: u64,
 }
 
 /// Runs `f` once on a fresh shim thread and returns how far the heap
@@ -677,6 +798,8 @@ fn measure_peaks(trace: &Trace, stripped: &StrippedTrace, bits: u32) -> PhasePea
         bcat: phase_peak(|| Bcat::from_stripped(stripped, bits)),
         mrct: phase_peak(|| Mrct::build(stripped)),
         streamed: phase_peak(|| streamed::level_profiles(stripped, bits)),
+        depth_first: phase_peak(|| dfs::level_profiles(stripped, bits)),
+        hybrid: phase_peak(|| hybrid::level_profiles(stripped, bits)),
     }
 }
 
@@ -688,8 +811,52 @@ fn measure_trace(named: &NamedTrace, samples: usize, measure_parallel: bool) -> 
     let strip_ns = measure(samples, || StrippedTrace::from_trace(trace));
     let bcat_ns = measure(samples, || Bcat::from_stripped(&stripped, bits));
     let mrct_ns = measure(samples, || Mrct::build(&stripped));
-    let streamed_ns = measure(samples, || streamed::level_profiles(&stripped, bits));
-    let depth_first_ns = measure(samples, || dfs::level_profiles(&stripped, bits));
+    // The hybrid is asserted byte-identical to depth-first before it is
+    // timed, at the default crossover and at every swept one. The engines
+    // it is judged against, and the swept crossovers, are timed
+    // interleaved so host speed changes cannot favour one of them.
+    let golden = dfs::level_profiles(&stripped, bits);
+    assert_eq!(
+        hybrid::level_profiles(&stripped, bits),
+        golden,
+        "{}: hybrid diverged from depth-first",
+        named.label()
+    );
+    let engine_ns = measure_interleaved(
+        samples,
+        &mut [
+            &mut || drop(black_box(streamed::level_profiles(&stripped, bits))),
+            &mut || drop(black_box(dfs::level_profiles(&stripped, bits))),
+            &mut || drop(black_box(hybrid::level_profiles(&stripped, bits))),
+        ],
+    );
+    let (streamed_ns, depth_first_ns, hybrid_ns) = (engine_ns[0], engine_ns[1], engine_ns[2]);
+    for c in CROSSOVERS {
+        assert_eq!(
+            hybrid::level_profiles_at_crossover(&stripped, bits, c),
+            golden,
+            "{}: hybrid at crossover {c} diverged from depth-first",
+            named.label()
+        );
+    }
+    let stripped_ref = &stripped;
+    let mut sweep: Vec<_> = CROSSOVERS
+        .iter()
+        .map(|&c| {
+            move || {
+                drop(black_box(hybrid::level_profiles_at_crossover(
+                    stripped_ref,
+                    bits,
+                    c,
+                )));
+            }
+        })
+        .collect();
+    let mut sweep: Vec<&mut dyn FnMut()> =
+        sweep.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
+    let crossover_ns: [f64; CROSSOVERS.len()] = measure_interleaved(samples, &mut sweep)
+        .try_into()
+        .expect("one median per crossover");
     // Each parallel row is asserted byte-identical to the serial engine
     // before it is timed: publishing a timing for an engine that computes
     // something else would be worse than publishing nothing.
@@ -728,11 +895,52 @@ fn measure_trace(named: &NamedTrace, samples: usize, measure_parallel: bool) -> 
         let mrct = Mrct::build(&stripped);
         postlude::level_profiles(&bcat, &mrct, &stripped, bits)
     });
-    let end_to_end_ns = measure(samples, || {
+    // `explore` with the default engine, pinned to depth-first, and with
+    // the streamed fold in the engine's place (strip, fold, frontier —
+    // the same steps `explore` takes), interleaved.
+    let explore = |engine: Engine| {
         DesignSpaceExplorer::new(trace)
             .max_index_bits(bits)
+            .engine(engine)
             .explore(MissBudget::FractionOfMax(0.10))
             .expect("non-empty kernel trace")
+    };
+    let explore_streamed = || {
+        let stripped = StrippedTrace::from_trace(trace);
+        let profiles = streamed::level_profiles(&stripped, bits);
+        Exploration::from_parts(
+            profiles,
+            TraceStats::of_stripped(&stripped),
+            Engine::default(),
+        )
+        .expect("the fold yields every depth")
+        .result(MissBudget::FractionOfMax(0.10))
+        .expect("valid budget")
+    };
+    assert_eq!(
+        explore_streamed(),
+        explore(Engine::default()),
+        "{}: streamed exploration diverged from the default engine",
+        named.label()
+    );
+    let end_to_end = measure_interleaved(
+        samples,
+        &mut [
+            &mut || drop(black_box(explore(Engine::default()))),
+            &mut || drop(black_box(explore(Engine::DepthFirst))),
+            &mut || drop(black_box(explore_streamed())),
+        ],
+    );
+    let end_to_end_ns = end_to_end[0];
+    let end_to_end_engines_ns = [end_to_end[1], end_to_end[2]];
+    let exploration = DesignSpaceExplorer::new(trace)
+        .max_index_bits(bits)
+        .prepare()
+        .expect("non-empty kernel trace");
+    let frontier_ns = measure(samples, || {
+        exploration
+            .result(MissBudget::FractionOfMax(0.10))
+            .expect("valid budget")
     });
     let peaks = alloc_track::enabled().then(|| measure_peaks(trace, &stripped, bits));
 
@@ -745,10 +953,14 @@ fn measure_trace(named: &NamedTrace, samples: usize, measure_parallel: bool) -> 
         mrct_ns,
         streamed_ns,
         depth_first_ns,
+        hybrid_ns,
         dfs_parallel_ns,
         streamed_parallel_ns,
         tree_table_ns,
         end_to_end_ns,
+        end_to_end_engines_ns,
+        frontier_ns,
+        crossover_ns,
         peaks,
     }
 }
@@ -768,10 +980,8 @@ fn baseline_of(label: &str) -> Option<f64> {
 fn print_row(named: &NamedTrace, row: &TraceRow) {
     let label = named.label();
     let vs_tree = row.tree_table_ns / row.depth_first_ns;
-    let vs_base = baseline_of(&label).map_or_else(
-        || "-".to_owned(),
-        |b| format!("{:.2}x", b / row.depth_first_ns),
-    );
+    // The hybrid against the faster of the two engines it combines.
+    let vs_best = row.hybrid_ns / row.depth_first_ns.min(row.streamed_ns);
     // The console table shows the 4-worker row of each parallel engine;
     // the JSON carries every pinned worker count.
     let four = PARALLEL_WORKERS
@@ -782,13 +992,14 @@ fn print_row(named: &NamedTrace, row: &TraceRow) {
         ns.map_or_else(|| "-".to_owned(), |ns| format!("{:.0}", ns[four]))
     };
     println!(
-        "{label:<16} {:>13.0} {:>13.0} {:>13} {:>13.0} {:>13} {:>13.0} {vs_tree:>7.2}x \
-         {vs_base:>8}",
+        "{label:<16} {:>13.0} {:>13.0} {:>13} {:>13.0} {:>13} {:>13.0} {:>13.0} {vs_tree:>7.2}x \
+         {vs_best:>7.2}x",
         row.mrct_ns,
         row.streamed_ns,
         par(row.streamed_parallel_ns),
         row.depth_first_ns,
         par(row.dfs_parallel_ns),
+        row.hybrid_ns,
         row.tree_table_ns,
     );
 }
@@ -823,6 +1034,7 @@ impl TraceRow {
         let engines = Value::object(
             [
                 ("depth_first".to_owned(), Value::from(self.depth_first_ns)),
+                ("hybrid".to_owned(), Value::from(self.hybrid_ns)),
                 ("tree_table".to_owned(), Value::from(self.tree_table_ns)),
             ]
             .into_iter()
@@ -890,6 +1102,25 @@ impl TraceRow {
             ("engines_ns", engines),
             ("end_to_end_ns", Value::from(self.end_to_end_ns)),
             (
+                "end_to_end_engines_ns",
+                Value::object(
+                    END_TO_END_ENGINES
+                        .iter()
+                        .zip(self.end_to_end_engines_ns)
+                        .map(|(name, ns)| (*name, Value::from(ns))),
+                ),
+            ),
+            ("frontier_ns", Value::from(self.frontier_ns)),
+            (
+                "crossover_ns",
+                Value::object(
+                    CROSSOVERS
+                        .iter()
+                        .zip(self.crossover_ns)
+                        .map(|(c, ns)| (c.to_string(), Value::from(ns))),
+                ),
+            ),
+            (
                 "speedup_vs_tree_table",
                 Value::from(self.tree_table_ns / self.depth_first_ns),
             ),
@@ -929,6 +1160,8 @@ impl TraceRow {
                     ("bcat", Value::from(peaks.bcat)),
                     ("mrct", Value::from(peaks.mrct)),
                     ("streamed", Value::from(peaks.streamed)),
+                    ("depth_first", Value::from(peaks.depth_first)),
+                    ("hybrid", Value::from(peaks.hybrid)),
                 ]),
             ));
         }
@@ -965,6 +1198,24 @@ fn validate_report(text: &str) -> Result<usize, String> {
         .get("peak_alloc_tracked")
         .and_then(Value::as_bool)
         .ok_or("missing boolean \"peak_alloc_tracked\"")?;
+    let crossover = value
+        .get("hybrid_crossover")
+        .ok_or("missing \"hybrid_crossover\"")?;
+    for field in ["chosen", "fastest"] {
+        crossover
+            .get(field)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("missing numeric \"hybrid_crossover.{field}\""))?;
+    }
+    let suite = crossover
+        .get("suite_ns")
+        .ok_or("missing \"hybrid_crossover.suite_ns\"")?;
+    for c in CROSSOVERS {
+        positive(
+            suite.get(&c.to_string()),
+            &format!("missing numeric \"hybrid_crossover.suite_ns.{c}\""),
+        )?;
+    }
     let kernels = value
         .get("kernels")
         .and_then(Value::as_array)
@@ -986,10 +1237,29 @@ fn validate_report(text: &str) -> Result<usize, String> {
         }
         for field in [
             "end_to_end_ns",
+            "frontier_ns",
             "speedup_vs_tree_table",
             "fused_speedup_vs_materialized",
         ] {
             positive(kernel.get(field), &context(field))?;
+        }
+        let end_to_end = kernel
+            .get("end_to_end_engines_ns")
+            .ok_or_else(|| format!("kernel {label:?} missing \"end_to_end_engines_ns\""))?;
+        for field in END_TO_END_ENGINES {
+            positive(
+                end_to_end.get(field),
+                &context(&format!("end_to_end_engines_ns.{field}")),
+            )?;
+        }
+        let sweep = kernel
+            .get("crossover_ns")
+            .ok_or_else(|| format!("kernel {label:?} missing \"crossover_ns\""))?;
+        for c in CROSSOVERS {
+            positive(
+                sweep.get(&c.to_string()),
+                &context(&format!("crossover_ns.{c}")),
+            )?;
         }
         let phases = kernel
             .get("phases_ns")
@@ -1002,7 +1272,7 @@ fn validate_report(text: &str) -> Result<usize, String> {
         // parallel engine rows.
         match (peak_tracked, kernel.get("peak_alloc_bytes")) {
             (true, Some(peaks)) => {
-                for field in ["strip", "bcat", "mrct", "streamed"] {
+                for field in ["strip", "bcat", "mrct", "streamed", "depth_first", "hybrid"] {
                     peaks
                         .get(field)
                         .and_then(Value::as_u64)
@@ -1023,7 +1293,7 @@ fn validate_report(text: &str) -> Result<usize, String> {
         let engines = kernel
             .get("engines_ns")
             .ok_or_else(|| format!("kernel {label:?} missing \"engines_ns\""))?;
-        for field in ["depth_first", "tree_table"] {
+        for field in ["depth_first", "hybrid", "tree_table"] {
             positive(engines.get(field), &context(field))?;
         }
         // Parallel engine rows are present exactly when the report says

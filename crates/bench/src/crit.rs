@@ -148,35 +148,60 @@ impl Bencher {
     /// Calibrates a batch size, then times `sample_size` batches of
     /// `routine` and records the median time per iteration.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        // Calibration: double the batch until it runs long enough to time
-        // reliably, then scale to the target batch duration.
-        let mut batch: u64 = 1;
-        let per_iter_ns = loop {
-            let start = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(routine());
-            }
-            let elapsed = start.elapsed().as_nanos();
-            if elapsed >= 100_000 || batch >= 1 << 20 {
-                break (elapsed / u128::from(batch)).max(1);
-            }
-            batch *= 2;
-        };
-        let batch = u64::try_from((BATCH_TARGET_NS / per_iter_ns).clamp(1, 1 << 24))
-            .expect("clamped to u64 range");
-
+        let batch = calibrate(&mut routine);
         let mut samples: Vec<f64> = (0..self.sample_size)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..batch {
-                    std::hint::black_box(routine());
-                }
-                start.elapsed().as_nanos() as f64 / batch as f64
-            })
+            .map(|_| time_batch(&mut routine, batch))
             .collect();
-        samples.sort_by(f64::total_cmp);
-        self.median_ns = Some(samples[samples.len() / 2]);
+        self.median_ns = Some(median(&mut samples));
     }
+}
+
+/// Doubles a batch until it runs long enough to time reliably, then
+/// scales it to the target batch duration.
+fn calibrate<O>(routine: &mut impl FnMut() -> O) -> u64 {
+    let mut batch: u64 = 1;
+    let per_iter_ns = loop {
+        let start = Instant::now();
+        for _ in 0..batch {
+            std::hint::black_box(routine());
+        }
+        let elapsed = start.elapsed().as_nanos();
+        if elapsed >= 100_000 || batch >= 1 << 20 {
+            break (elapsed / u128::from(batch)).max(1);
+        }
+        batch *= 2;
+    };
+    u64::try_from((BATCH_TARGET_NS / per_iter_ns).clamp(1, 1 << 24)).expect("clamped to u64 range")
+}
+
+/// Nanoseconds per iteration over one batch of `batch` runs.
+fn time_batch<O>(routine: &mut impl FnMut() -> O, batch: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..batch {
+        std::hint::black_box(routine());
+    }
+    start.elapsed().as_nanos() as f64 / batch as f64
+}
+
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Times several routines like [`measure`], but **interleaved**: each of
+/// the `sample_size` rounds times one calibrated batch of every routine in
+/// turn, so a host that changes speed mid-run slows all of them alike and
+/// their ratios stay meaningful. Returns each routine's median
+/// nanoseconds per iteration, in order.
+pub fn measure_interleaved(sample_size: usize, routines: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let batches: Vec<u64> = routines.iter_mut().map(calibrate).collect();
+    let mut samples = vec![Vec::with_capacity(sample_size.max(2)); routines.len()];
+    for _ in 0..sample_size.max(2) {
+        for ((routine, &batch), times) in routines.iter_mut().zip(&batches).zip(&mut samples) {
+            times.push(time_batch(routine, batch));
+        }
+    }
+    samples.iter_mut().map(|times| median(times)).collect()
 }
 
 /// Times `routine` exactly like [`Bencher::iter`] (calibrated batches,

@@ -1,16 +1,19 @@
 //! Engine-agreement checking: every conflict-depth engine must agree.
 //!
-//! `cachedse-core` ships three ways to compute the per-level conflict-depth
-//! profiles of §2.4 — the tree+table reference (`Bcat` + `Mrct` + postlude
-//! sweep), the scratch-arena depth-first engine, and its size-aware parallel
-//! scheduler. The whole point of keeping them byte-identical is that callers
-//! (and the batch service's engine-free cache key) may pick any of them
-//! freely. This checker recomputes all three from the stripped trace and
-//! reports any level where a faster engine diverges from the reference.
+//! `cachedse-core` ships several ways to compute the per-level
+//! conflict-depth profiles of §2.4 — the tree+table reference (`Bcat` +
+//! `Mrct` + postlude sweep), the scratch-arena depth-first engine, its
+//! size-aware parallel scheduler, and the default hybrid (depth-first above
+//! a unique-count crossover, streamed fold below it). The whole point of
+//! keeping them byte-identical is that callers (and the batch service's
+//! engine-free cache key) may pick any of them freely. This checker
+//! recomputes them from the stripped trace and reports any level where a
+//! faster engine diverges from the reference. (The streamed fold has its
+//! own checker, `check_streamed`.)
 
 use std::num::NonZeroUsize;
 
-use cachedse_core::{dfs, postlude, Bcat, Mrct};
+use cachedse_core::{dfs, hybrid, postlude, Bcat, Mrct};
 use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::strip::StrippedTrace;
 
@@ -21,9 +24,9 @@ use crate::report::{Invariant, Location, Violation};
 /// threshold is thread-count independent, so any pinning is representative.
 const CHECK_WORKERS: usize = 2;
 
-/// Recomputes the per-level [`DepthProfile`]s with all three engines and
-/// returns one violation per `(engine, level)` disagreement with the
-/// tree+table reference.
+/// Recomputes the per-level [`DepthProfile`]s with the depth-first, parallel
+/// depth-first and hybrid engines and returns one violation per `(engine,
+/// level)` disagreement with the tree+table reference.
 #[must_use]
 pub fn check_engines(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Violation> {
     let bcat = Bcat::from_stripped(stripped, max_index_bits);
@@ -34,8 +37,11 @@ pub fn check_engines(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Viola
     let workers = NonZeroUsize::new(CHECK_WORKERS).expect("nonzero");
     let parallel = dfs::level_profiles_parallel(stripped, max_index_bits, workers);
 
+    let hybrid = hybrid::level_profiles(stripped, max_index_bits);
+
     let mut violations = compare_profiles("depth-first", &serial, &golden);
     violations.extend(compare_profiles("depth-first-parallel", &parallel, &golden));
+    violations.extend(compare_profiles("hybrid", &hybrid, &golden));
     violations
 }
 
@@ -91,6 +97,17 @@ mod tests {
     fn workload_engines_agree() {
         let trace = generate::loop_with_excursions(7, 64, 31, 5, 1 << 11, 4);
         let s = stripped(&trace);
+        assert!(check_engines(&s, s.address_bits()).is_empty());
+    }
+
+    /// A trace with more unique references than the hybrid's crossover,
+    /// so the check exercises its depth-first levels and frontier folds,
+    /// not just the root fold.
+    #[test]
+    fn hybrid_above_the_crossover_agrees() {
+        let trace = generate::uniform_random(8_000, 4 * hybrid::CROSSOVER as u32, 12);
+        let s = stripped(&trace);
+        assert!(s.unique_len() > hybrid::CROSSOVER);
         assert!(check_engines(&s, s.address_bits()).is_empty());
     }
 

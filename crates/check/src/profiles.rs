@@ -1,7 +1,7 @@
 //! Streamed-vs-materialized postlude checking.
 //!
-//! The default `streamed` engine fuses the MRCT replay with the postlude
-//! (DESIGN.md §16): conflict sets are folded into the per-level histograms
+//! The `streamed` engine — and the default hybrid's frontier folds — fuse
+//! the MRCT replay with the postlude (DESIGN.md §16): conflict sets are folded into the per-level histograms
 //! the moment the recency array produces them, and the CSR arena is never
 //! built. Its soundness claim is *byte-identity* with the paper's published
 //! pipeline — `Mrct::build` followed by `postlude::level_profiles` over a

@@ -30,6 +30,15 @@ pub enum ArgError {
     },
     /// A required positional argument is missing.
     MissingPositional(&'static str),
+    /// An option or flag the subcommand does not take.
+    Unknown {
+        /// The subcommand.
+        command: &'static str,
+        /// The offending option's name.
+        option: String,
+        /// The options the subcommand takes, `--a, --b, …`.
+        expected: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -41,6 +50,14 @@ impl std::fmt::Display for ArgError {
                 write!(f, "invalid value {value:?} for --{option}")
             }
             Self::MissingPositional(name) => write!(f, "missing <{name}> argument"),
+            Self::Unknown {
+                command,
+                option,
+                expected,
+            } => write!(
+                f,
+                "unknown option --{option} for {command}; it takes {expected}"
+            ),
         }
     }
 }
@@ -86,6 +103,44 @@ impl Args {
             .get(idx)
             .map(String::as_str)
             .ok_or(ArgError::MissingPositional(name))
+    }
+
+    /// Fails on the first option or flag (in name order) that `command`
+    /// does not take — a mistyped `--engien` must not silently fall back
+    /// to a default. `--help` is always accepted.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::Unknown`] naming the option and what `command` takes.
+    pub fn only(
+        &self,
+        command: &'static str,
+        options: &[&str],
+        flags: &[&str],
+    ) -> Result<(), ArgError> {
+        let mut given: Vec<&str> = self
+            .options
+            .keys()
+            .map(String::as_str)
+            .chain(self.flags.iter().map(String::as_str))
+            .collect();
+        given.sort_unstable();
+        match given
+            .into_iter()
+            .find(|name| *name != "help" && !options.contains(name) && !flags.contains(name))
+        {
+            None => Ok(()),
+            Some(option) => Err(ArgError::Unknown {
+                command,
+                option: option.to_owned(),
+                expected: options
+                    .iter()
+                    .chain(flags)
+                    .map(|name| format!("--{name}"))
+                    .collect::<Vec<_>>()
+                    .join(", "),
+            }),
+        }
     }
 
     /// Whether a bare flag (e.g. `--verify`) was given.
@@ -181,6 +236,23 @@ mod tests {
             a.positional(0, "trace").unwrap_err(),
             ArgError::MissingPositional("trace")
         );
+    }
+
+    #[test]
+    fn only_rejects_unknown_options_and_flags() {
+        let a = parse("t.din --misses 3 --engien dfs --verify");
+        assert_eq!(
+            a.only("explore", &["misses", "engine"], &["verify"])
+                .unwrap_err()
+                .to_string(),
+            "unknown option --engien for explore; it takes --misses, --engine, --verify"
+        );
+        let a = parse("t.din --misses 3 --quiet --help");
+        assert!(matches!(
+            a.only("explore", &["misses"], &["verify"]),
+            Err(ArgError::Unknown { option, .. }) if option == "quiet"
+        ));
+        assert!(a.only("explore", &["misses"], &["quiet"]).is_ok());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! cachedse stats trace.din
 //! cachedse simulate trace.din --depth 64 --assoc 2 [--policy lru] [--line-bits 0]
 //! cachedse explore trace.din (--misses K | --fraction F) [--max-bits B]
-//!                            [--engine streamed|dfs|parallel|tree] [--threads N]
+//!                            [--engine hybrid|dfs|parallel|tree] [--threads N]
 //!                            [--verify] [--format json]
 //! cachedse sweep trace.din [--max-bits B]        # the paper's K-grid table
 //! cachedse check trace.din [--misses K | --fraction F] [--max-bits B]
@@ -18,11 +18,11 @@
 //!                        # dfs-split, and streamed-split scenarios; needs
 //!                        # a build with RUSTFLAGS="--cfg cachedse_model"
 //! cachedse batch [jobs.jsonl] [--workers N] [--queue N] [--cache N]
-//!                [--engine streamed|dfs|parallel|tree] [--threads N]
+//!                [--engine hybrid|dfs|parallel|tree] [--threads N]
 //!                [--timeout-ms MS] [--validate]
 //!                [--store-dir DIR]               # JSONL jobs in, results out
 //! cachedse serve [--bind HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!                [--engine streamed|dfs|parallel|tree] [--threads N]
+//!                [--engine hybrid|dfs|parallel|tree] [--threads N]
 //!                [--timeout-ms MS] [--validate]
 //!                [--store-dir DIR]               # persistent artifact store
 //!                [--join HOST:PORT[,HOST:PORT…]] # enter a shard ring
@@ -63,9 +63,99 @@ commands:
              streamed-fold concurrency instead)
   batch      run JSONL job specs through the shared-artifact worker pool
   serve      answer JSONL jobs over TCP until told to shut down
-  workloads  list the embedded benchmark kernels
+  workloads  list the embedded benchmark kernels";
 
-run `cachedse <command> --help` for details.";
+/// The top-level usage text: the command list plus the engine names,
+/// which come from [`Engine::ALL`] so the text cannot drift from the
+/// parser.
+fn usage() -> String {
+    format!(
+        "{USAGE}\n\nengines (--engine on explore, batch, serve): {} (default {})\n\n\
+         run `cachedse <command> --help` for details.",
+        Engine::names(),
+        Engine::default().name()
+    )
+}
+
+/// The options and bare flags `explore` takes.
+const EXPLORE_OPTIONS: [&str; 7] = [
+    "misses",
+    "fraction",
+    "max-bits",
+    "engine",
+    "threads",
+    "format",
+    "line-bits",
+];
+
+/// The options `sweep` takes.
+const SWEEP_OPTIONS: [&str; 2] = ["max-bits", "line-bits"];
+
+/// The options `batch` takes (the service configuration).
+const BATCH_OPTIONS: [&str; 7] = [
+    "workers",
+    "queue",
+    "cache",
+    "timeout-ms",
+    "engine",
+    "threads",
+    "store-dir",
+];
+
+/// The options `serve` takes: the service configuration plus networking.
+const SERVE_OPTIONS: [&str; 10] = [
+    "workers",
+    "queue",
+    "cache",
+    "timeout-ms",
+    "engine",
+    "threads",
+    "store-dir",
+    "bind",
+    "join",
+    "advertise",
+];
+
+/// One subcommand's synopsis, printed by `cachedse <command> --help`.
+fn synopsis(command: &str) -> String {
+    let engines = Engine::names();
+    match command {
+        "explore" => format!(
+            "usage: cachedse explore <trace-file> (--misses K | --fraction F) [--max-bits B]\n\
+             \x20                       [--engine {engines}] [--threads N]\n\
+             \x20                       [--line-bits L] [--verify] [--format text|json]"
+        ),
+        "sweep" => "usage: cachedse sweep <trace-file> [--max-bits B] [--line-bits L]".to_owned(),
+        "batch" => format!(
+            "usage: cachedse batch [jobs.jsonl|-] [--workers N] [--queue N] [--cache N]\n\
+             \x20                     [--engine {engines}] [--threads N]\n\
+             \x20                     [--timeout-ms MS] [--validate] [--store-dir DIR]"
+        ),
+        _ => format!(
+            "usage: cachedse serve [--bind HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
+             \x20                     [--engine {engines}] [--threads N]\n\
+             \x20                     [--timeout-ms MS] [--validate] [--store-dir DIR]\n\
+             \x20                     [--join HOST:PORT[,HOST:PORT...]] [--advertise HOST:PORT]"
+        ),
+    }
+}
+
+/// Checks `args` against a subcommand's options and flags, rejecting
+/// anything else. Returns `true` when `--help` was given: the synopsis is
+/// printed and the command should do nothing more.
+fn accept(
+    args: &Args,
+    command: &'static str,
+    options: &[&str],
+    flags: &[&str],
+) -> Result<bool, Box<dyn std::error::Error>> {
+    args.only(command, options, flags)?;
+    if args.flag("help") {
+        println!("{}", synopsis(command));
+        return Ok(true);
+    }
+    Ok(false)
+}
 
 fn main() -> ExitCode {
     // A downstream consumer closing the pipe (`cachedse explore ... | head`)
@@ -87,7 +177,7 @@ fn main() -> ExitCode {
 
     let mut argv = std::env::args().skip(1);
     let Some(command) = argv.next() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let args = match Args::parse(argv) {
@@ -109,10 +199,10 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&args),
         "workloads" => cmd_workloads(),
         "--help" | "help" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}").into()),
+        other => Err(format!("unknown command {other:?}\n{}", usage()).into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -242,21 +332,20 @@ fn cmd_simulate(args: &Args) -> CliResult {
     Ok(())
 }
 
+/// `--engine <name>`, parsed through [`Engine::from_name`]; absent means
+/// [`Engine::default`].
 fn engine_of(args: &Args) -> Result<Engine, Box<dyn std::error::Error>> {
-    match args.opt_str("engine").unwrap_or("streamed") {
-        "streamed" => Ok(Engine::Streamed),
-        "dfs" => Ok(Engine::DepthFirst),
-        "parallel" => Ok(Engine::DepthFirstParallel),
-        "tree" => Ok(Engine::TreeTable),
-        other => {
-            Err(format!("unknown engine {other:?}; expected streamed|dfs|parallel|tree").into())
-        }
+    match args.opt_str("engine") {
+        None => Ok(Engine::default()),
+        Some(name) => Engine::from_name(name)
+            .ok_or_else(|| format!("unknown engine {name:?}; expected {}", Engine::names()).into()),
     }
 }
 
 /// `--threads N` worker pin for the parallel engines — `parallel` defaults
-/// to the available parallelism; `streamed` stays serial unless N ≥ 2 opts
-/// it into the chunked fold (`None` = engine default).
+/// to the available parallelism; `hybrid` stays serial unless N ≥ 2 opts
+/// it into the chunked parallel fold on small traces (`None` = engine
+/// default).
 fn threads_of(args: &Args) -> Result<Option<std::num::NonZeroUsize>, Box<dyn std::error::Error>> {
     match args.opt::<usize>("threads")? {
         None => Ok(None),
@@ -266,6 +355,9 @@ fn threads_of(args: &Args) -> Result<Option<std::num::NonZeroUsize>, Box<dyn std
 }
 
 fn cmd_explore(args: &Args) -> CliResult {
+    if accept(args, "explore", &EXPLORE_OPTIONS, &["verify"])? {
+        return Ok(());
+    }
     let trace = load_trace(args)?;
     let budget = match (args.opt::<u64>("misses")?, args.opt::<f64>("fraction")?) {
         (Some(k), None) => MissBudget::Absolute(k),
@@ -351,6 +443,9 @@ fn explore_json(result: &cachedse_core::ExplorationResult) -> Value {
 
 fn cmd_sweep(args: &Args) -> CliResult {
     use cachedse_core::BudgetGrid;
+    if accept(args, "sweep", &SWEEP_OPTIONS, &[])? {
+        return Ok(());
+    }
     let trace = load_trace(args)?;
     let mut explorer = DesignSpaceExplorer::new(&trace);
     if let Some(bits) = args.opt::<u32>("max-bits")? {
@@ -478,6 +573,9 @@ fn service_config_of(
 }
 
 fn cmd_batch(args: &Args) -> CliResult {
+    if accept(args, "batch", &BATCH_OPTIONS, &["validate"])? {
+        return Ok(());
+    }
     let config = service_config_of(args)?;
     let stdout = io::stdout().lock();
     let output = BufWriter::new(stdout);
@@ -497,6 +595,9 @@ fn cmd_batch(args: &Args) -> CliResult {
 }
 
 fn cmd_serve(args: &Args) -> CliResult {
+    if accept(args, "serve", &SERVE_OPTIONS, &["validate"])? {
+        return Ok(());
+    }
     let config = service_config_of(args)?;
     let bind = args.opt_str("bind").unwrap_or("127.0.0.1:7333");
     let listener =

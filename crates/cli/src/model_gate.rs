@@ -24,7 +24,7 @@
 //! `--format json` output is grep-compatible with the artifact checkers.
 
 use cachedse_check::{model_report, CheckReport};
-use cachedse_core::{prepare_stripped, Engine, MissBudget};
+use cachedse_core::{prepare_stripped, streamed, Engine, MissBudget};
 use cachedse_json::Value;
 use cachedse_serve::{JobSpec, PatternSpec, Service, ServiceConfig, TraceSource};
 use cachedse_sync::model::{explore, Mode, ModelConfig, Outcome};
@@ -113,19 +113,15 @@ fn scenario_dfs_split() -> impl Fn() {
 fn scenario_streamed_split() -> impl Fn() {
     let trace = generate::working_set_phases(6, 8192, 96, 17);
     let stripped = StrippedTrace::from_trace(&trace);
-    let serial = prepare_stripped(&stripped, None, Engine::Streamed, None)
-        .expect("non-empty trace explores");
+    let bits = stripped.address_bits();
+    let serial = streamed::level_profiles(&stripped, bits);
     move || {
-        let threads = std::num::NonZeroUsize::new(2);
-        let parallel = prepare_stripped(&stripped, None, Engine::Streamed, threads)
-            .expect("non-empty trace explores");
-        for budget in [MissBudget::Absolute(0), MissBudget::FractionOfMax(0.10)] {
-            assert_eq!(
-                parallel.result(budget).expect("valid budget"),
-                serial.result(budget).expect("valid budget"),
-                "chunked streamed fold must be schedule-independent"
-            );
-        }
+        let threads = std::num::NonZeroUsize::new(2).expect("nonzero");
+        assert_eq!(
+            streamed::level_profiles_parallel(&stripped, bits, threads),
+            serial,
+            "chunked streamed fold must be schedule-independent"
+        );
     }
 }
 

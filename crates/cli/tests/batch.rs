@@ -90,6 +90,28 @@ fn batch_reports_bad_specs_in_place_and_fails() {
     assert!(stderr(&out).contains("1 of 2 job(s) failed"));
 }
 
+/// A 200 000-deep line of `[` once overflowed the parser's stack and
+/// aborted the process; now it is one structured bad-spec reply and the
+/// jobs after it still run.
+#[test]
+fn batch_answers_a_deeply_nested_line_and_continues() {
+    let jobs = format!("{}\n{}\n", "[".repeat(200_000), job("after", 0));
+    let out = cachedse_stdin(&["batch"], &jobs);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let lines: Vec<Value> = stdout(&out)
+        .lines()
+        .map(|l| Value::parse(l).expect("result lines are JSON"))
+        .collect();
+    assert_eq!(lines.len(), 2);
+    let error = lines[0].get("error").expect("first line is an error");
+    assert_eq!(error.get("kind").and_then(Value::as_str), Some("bad-spec"));
+    let detail = error.get("detail").and_then(Value::as_str).unwrap();
+    assert!(detail.contains("nest deeper than 128"), "{detail}");
+    assert_eq!(lines[1].get("id").and_then(Value::as_str), Some("after"));
+    assert_eq!(lines[1].get("ok").and_then(Value::as_bool), Some(true));
+    assert!(stderr(&out).contains("1 of 2 job(s) failed"));
+}
+
 #[test]
 fn explore_format_json_emits_the_frontier() {
     let path = std::env::temp_dir().join(format!("cachedse-json-{}.din", std::process::id()));

@@ -219,3 +219,65 @@ fn unknown_workload_is_a_clean_error() {
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown workload"));
 }
+
+/// A mistyped option fails instead of silently running the default.
+#[test]
+fn unknown_options_are_rejected() {
+    let path = write_trace("0 1\n0 2\n0 1\n");
+    let trace = path.to_str().unwrap();
+    for args in [
+        vec!["explore", trace, "--fraction", "0.1", "--engien", "dfs"],
+        vec!["explore", trace, "--misses", "0", "--quiet"],
+        vec!["sweep", trace, "--engine", "dfs"],
+        vec!["batch", "-", "--worker", "2"],
+    ] {
+        let out = cachedse(&args);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let err = stderr(&out);
+        assert!(err.contains("unknown option --"), "{args:?}: {err}");
+        assert!(err.contains(&format!("for {}", args[0])), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn unknown_engine_lists_every_engine_name() {
+    let path = write_trace("0 1\n");
+    let out = cachedse(&[
+        "explore",
+        path.to_str().unwrap(),
+        "--misses",
+        "0",
+        "--engine",
+        "fast",
+    ]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("expected hybrid|dfs|parallel|tree"));
+}
+
+/// Every engine name parses, and all of them — the default included —
+/// print the same frontier.
+#[test]
+fn every_engine_name_gives_the_default_frontier() {
+    let path = write_trace("0 b\n0 c\n0 6\n0 3\n0 b\n0 4\n0 c\n0 3\n0 b\n0 6\n");
+    let trace = path.to_str().unwrap();
+    let default = cachedse(&["explore", trace, "--misses", "1", "--format", "json"]);
+    assert!(default.status.success(), "{}", stderr(&default));
+    for engine in ["hybrid", "dfs", "parallel", "tree"] {
+        let out = cachedse(&[
+            "explore", trace, "--misses", "1", "--format", "json", "--engine", engine,
+        ]);
+        assert!(out.status.success(), "{engine}: {}", stderr(&out));
+        assert_eq!(stdout(&out), stdout(&default), "{engine}");
+    }
+}
+
+#[test]
+fn subcommand_help_prints_the_synopsis() {
+    for command in ["explore", "sweep", "batch", "serve"] {
+        let out = cachedse(&[command, "--help"]);
+        assert!(out.status.success(), "{command}: {}", stderr(&out));
+        assert!(stdout(&out).starts_with(&format!("usage: cachedse {command}")));
+    }
+    let out = cachedse(&["help"]);
+    assert!(stdout(&out).contains("hybrid|dfs|parallel|tree (default hybrid)"));
+}

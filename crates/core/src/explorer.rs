@@ -12,9 +12,9 @@ use cachedse_trace::Trace;
 use crate::bcat::Bcat;
 use crate::dfs;
 use crate::error::ExploreError;
+use crate::hybrid;
 use crate::mrct::Mrct;
 use crate::postlude;
-use crate::streamed;
 
 /// The designer's miss constraint `K`.
 ///
@@ -31,22 +31,30 @@ pub enum MissBudget {
 }
 
 /// Which implementation of the analytical method to run.
+///
+/// Every engine produces byte-identical [`DepthProfile`]s; they differ in
+/// time and memory only. [`Engine::ALL`] and [`Engine::name`] are the one
+/// table of engine names the command line parses and prints.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// The streamed MRCT→postlude fusion (DESIGN.md §16): the tombstone
-    /// recency-array replay of [`Mrct::build`](crate::Mrct::build) with each
-    /// conflict set folded into the per-level histograms the moment it is
-    /// produced — `O(unique refs)` memory, no arena, no sizing pass. The
-    /// default for fresh analytical runs; byte-identical to every other
-    /// engine. Pinning `threads ≥ 2` via [`DesignSpaceExplorer::threads`] /
-    /// [`prepare_stripped`] switches to the chunked parallel fold
-    /// (DESIGN.md §17) — same bytes, split across a worker pool; the
-    /// default (no pin) stays serial so pooled services don't oversubscribe
-    /// their own workers.
+    /// The hybrid of the two §2.4 engines (DESIGN.md §18): BCAT rows with
+    /// more than [`hybrid::CROSSOVER`] distinct references are counted
+    /// depth-first, one level pass each; every smaller subtree is handed
+    /// to the streamed fold, which yields all its remaining levels in one
+    /// pass. `O(unique refs)` scratch. The default for fresh analytical
+    /// runs; a trace with at most [`hybrid::CROSSOVER`] distinct
+    /// references is one fold at the root, the streamed MRCT→postlude
+    /// fusion of DESIGN.md §16 unchanged. Pinning `threads ≥ 2` via
+    /// [`DesignSpaceExplorer::threads`] / [`prepare_stripped`] runs the
+    /// chunked parallel fold (DESIGN.md §17) on traces of at most
+    /// [`hybrid::PARALLEL_FOLD_MAX`] distinct references and stays serial
+    /// on larger ones; unpinned it is serial, so pooled services don't
+    /// oversubscribe their own workers.
     #[default]
-    Streamed,
+    Hybrid,
     /// The Section 2.4 combined algorithm: depth-first subtrace partitioning,
-    /// linear space, no materialized BCAT/MRCT.
+    /// linear space, no materialized BCAT/MRCT. Kept unmodified as the
+    /// independent oracle the default engine is checked against.
     DepthFirst,
     /// The depth-first engine with BCAT subtrees fanned out over a worker
     /// pool — the paper's §2.4 distributed-sets remark, in threads. Worker
@@ -61,10 +69,54 @@ pub enum Engine {
     TreeTable,
 }
 
+impl Engine {
+    /// Every engine, the default first.
+    pub const ALL: [Engine; 4] = [
+        Self::Hybrid,
+        Self::DepthFirst,
+        Self::DepthFirstParallel,
+        Self::TreeTable,
+    ];
+
+    /// The short name the command line uses (`--engine <name>`).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Hybrid => "hybrid",
+            Self::DepthFirst => "dfs",
+            Self::DepthFirstParallel => "parallel",
+            Self::TreeTable => "tree",
+        }
+    }
+
+    /// The engine whose [`name`](Self::name) is `name`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cachedse_core::Engine;
+    ///
+    /// assert_eq!(Engine::from_name("dfs"), Some(Engine::DepthFirst));
+    /// assert_eq!(Engine::from_name("fast"), None);
+    /// assert_eq!(Engine::names(), "hybrid|dfs|parallel|tree");
+    /// ```
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|e| e.name() == name)
+    }
+
+    /// Every [`name`](Self::name), `|`-separated, for usage text and
+    /// error messages.
+    #[must_use]
+    pub fn names() -> String {
+        Self::ALL.map(Self::name).join("|")
+    }
+}
+
 impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Streamed => f.write_str("streamed"),
+            Self::Hybrid => f.write_str("hybrid"),
             Self::DepthFirst => f.write_str("depth-first"),
             Self::DepthFirstParallel => f.write_str("depth-first-parallel"),
             Self::TreeTable => f.write_str("tree-table"),
@@ -129,10 +181,12 @@ impl<'a> DesignSpaceExplorer<'a> {
 
     /// Pins the worker count used by [`Engine::DepthFirstParallel`]
     /// (default: the machine's available parallelism) and, when ≥ 2, opts
-    /// [`Engine::Streamed`] into its chunked parallel fold (default:
-    /// serial). Ignored by the other serial engines. The result never
-    /// depends on this value — only the wall clock does — so benchmarks
-    /// and services can set it for reproducible scheduling.
+    /// [`Engine::Hybrid`] into the chunked parallel fold on traces of at
+    /// most [`hybrid::PARALLEL_FOLD_MAX`] distinct references (default:
+    /// serial). Ignored
+    /// by the other serial engines. The result never depends on this
+    /// value — only the wall clock does — so benchmarks and services can
+    /// set it for reproducible scheduling.
     #[must_use]
     pub fn threads(mut self, threads: std::num::NonZeroUsize) -> Self {
         self.threads = Some(threads);
@@ -180,7 +234,8 @@ impl<'a> DesignSpaceExplorer<'a> {
 ///
 /// `threads` pins the worker count of [`Engine::DepthFirstParallel`]
 /// (`None` = the machine's available parallelism) and, when `Some(n ≥ 2)`,
-/// routes [`Engine::Streamed`] through its chunked parallel fold (`None`
+/// routes [`Engine::Hybrid`] through the chunked parallel fold on traces
+/// of at most [`hybrid::PARALLEL_FOLD_MAX`] distinct references (`None`
 /// keeps it serial — pooled callers already parallelize across traces);
 /// the other serial engines ignore it. The result never depends on the
 /// worker count.
@@ -204,9 +259,9 @@ pub fn prepare_stripped(
         return Err(ExploreError::IndexBitsTooLarge(max_bits));
     }
     let profiles = match engine {
-        Engine::Streamed => match threads {
-            Some(t) if t.get() >= 2 => streamed::level_profiles_parallel(stripped, max_bits, t),
-            _ => streamed::level_profiles(stripped, max_bits),
+        Engine::Hybrid => match threads {
+            Some(t) if t.get() >= 2 => hybrid::level_profiles_parallel(stripped, max_bits, t),
+            _ => hybrid::level_profiles(stripped, max_bits),
         },
         Engine::DepthFirst => dfs::level_profiles(stripped, max_bits),
         Engine::DepthFirstParallel => {
@@ -850,14 +905,23 @@ mod tests {
 
     #[test]
     fn engine_display() {
-        assert_eq!(Engine::Streamed.to_string(), "streamed");
+        assert_eq!(Engine::Hybrid.to_string(), "hybrid");
         assert_eq!(Engine::DepthFirst.to_string(), "depth-first");
         assert_eq!(Engine::TreeTable.to_string(), "tree-table");
     }
 
     #[test]
-    fn streamed_is_the_default_engine() {
-        assert_eq!(Engine::default(), Engine::Streamed);
+    fn hybrid_is_the_default_engine() {
+        assert_eq!(Engine::default(), Engine::Hybrid);
+        assert_eq!(Engine::ALL[0], Engine::default());
+    }
+
+    #[test]
+    fn engine_names_round_trip() {
+        for engine in Engine::ALL {
+            assert_eq!(Engine::from_name(engine.name()), Some(engine));
+        }
+        assert_eq!(Engine::from_name("depth-first"), None);
     }
 
     #[test]
@@ -949,12 +1013,7 @@ mod tests {
             generate::working_set_phases(3, 200, 24, 7),
         ];
         let refs: Vec<&Trace> = apps.iter().collect();
-        for engine in [
-            Engine::Streamed,
-            Engine::DepthFirst,
-            Engine::DepthFirstParallel,
-            Engine::TreeTable,
-        ] {
+        for engine in Engine::ALL {
             let shared = SharedExploration::prepare(&refs, engine, None).unwrap();
             assert_eq!(shared.explorations().len(), refs.len());
             for budget in [
@@ -988,22 +1047,25 @@ mod tests {
         }
     }
 
-    /// Pinning `threads ≥ 2` routes the streamed engine through the chunked
-    /// parallel fold; the exploration must not change for any worker count.
+    /// Pinning `threads ≥ 2` routes the hybrid through the chunked
+    /// parallel fold on a small trace and leaves it serial on a large one;
+    /// the exploration must not change for any worker count.
     #[test]
-    fn streamed_threads_do_not_change_results() {
-        let trace = generate::working_set_phases(4, 300, 40, 3);
-        let baseline = DesignSpaceExplorer::new(&trace)
-            .engine(Engine::Streamed)
-            .explore(MissBudget::Absolute(25))
-            .unwrap();
-        for threads in [1, 2, 4, 8] {
-            let pinned = DesignSpaceExplorer::new(&trace)
-                .engine(Engine::Streamed)
-                .threads(std::num::NonZeroUsize::new(threads).expect("nonzero"))
+    fn fold_threads_do_not_change_results() {
+        let small = generate::working_set_phases(4, 300, 40, 3);
+        let large = generate::uniform_random(6_000, 3_000, 8);
+        for trace in [small, large] {
+            let baseline = DesignSpaceExplorer::new(&trace)
+                .engine(Engine::DepthFirst)
                 .explore(MissBudget::Absolute(25))
                 .unwrap();
-            assert_eq!(baseline, pinned, "threads = {threads}");
+            for threads in [1, 2, 4, 8] {
+                let pinned = DesignSpaceExplorer::new(&trace)
+                    .threads(std::num::NonZeroUsize::new(threads).expect("nonzero"))
+                    .explore(MissBudget::Absolute(25))
+                    .unwrap();
+                assert_eq!(baseline, pinned, "threads = {threads}");
+            }
         }
     }
 }

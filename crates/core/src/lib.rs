@@ -32,11 +32,15 @@
 //! Section 2.4 of the paper sketches a combined variant that never
 //! materializes the tree or the table; [`dfs`] implements it with a
 //! depth-first subtrace partition and Fenwick-tree distance counting, in
-//! `O(N log N)` time per level and linear space. The default engine goes
-//! further: [`streamed`] fuses the MRCT replay with the postlude, folding
-//! every conflict set into the per-level histograms the moment it is
-//! produced — the profiles of all levels in one pass, `O(N')` memory, no
-//! materialized table at all.
+//! `O(N log N)` time per level and linear space. [`streamed`] fuses the
+//! MRCT replay with the postlude instead, folding every conflict set into
+//! the per-level histograms the moment it is produced — the profiles of all
+//! levels in one pass, `O(N')` memory, no materialized table at all, but a
+//! cost that grows with the number of distinct references a conflict set
+//! spans. The default engine, [`hybrid`], combines the two: BCAT rows with
+//! many distinct references are counted depth-first, and every small
+//! subtree is handed to the fold, which yields all its remaining levels at
+//! once.
 //!
 //! # Exactness
 //!
@@ -76,6 +80,7 @@ mod recency;
 pub mod bcat;
 pub mod dfs;
 pub mod explorer;
+pub mod hybrid;
 pub mod mrct;
 pub mod postlude;
 pub mod report;

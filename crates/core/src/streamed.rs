@@ -252,7 +252,7 @@ pub fn level_profiles_parallel(
 }
 
 /// Raw per-reference addresses, indexable by `RefId`.
-fn address_table(stripped: &StrippedTrace) -> Vec<u32> {
+pub(crate) fn address_table(stripped: &StrippedTrace) -> Vec<u32> {
     stripped
         .unique_addresses()
         .iter()
@@ -282,38 +282,18 @@ fn fold_chunk(
         if p == ABSENT {
             replay.live += 1;
         } else {
-            // The conflict set is the live suffix after p. Bucket every
-            // member by its clamped shared-row depth against the owner:
-            // distinct unique addresses make the xor nonzero, and the
-            // `min` also absorbs the (unreachable) `trailing_zeros == 32`.
-            // Tombstones are skipped inline — see the module docs for why
-            // no dead-position index is kept.
-            let owner = addrs[i];
-            let mut d: u64 = 0;
-            for &x in &replay.seq[p as usize + 1..] {
-                if x != ABSENT {
-                    let b = ((addrs[x as usize] ^ owner).trailing_zeros() as usize).min(max_level);
-                    bucket[b] += 1;
-                    d += 1;
-                }
-            }
-            // Suffix-sum walk: at level l the set contributes `d_l` =
-            // #{members with shared depth ≥ l}; `d_0 = |C|` and each step
-            // retires bucket[l]. Every member's clamped depth is ≤
-            // max_level, so `d` hits zero no later than one past it — and
-            // `d == 0` means every remaining bucket is already zero, which
-            // is what lets `take` leave the array clean for the next set.
-            let mut l = 0;
-            while d > 0 {
-                let du = d as usize;
-                let h = &mut hist[l];
-                if h.len() <= du {
-                    h.resize(du + 1, 0);
-                }
-                h[du] += 1;
-                d -= std::mem::take(&mut bucket[l]);
-                l += 1;
-            }
+            // The conflict set is the live suffix after p. Tombstones are
+            // skipped inline — see the module docs for why no dead-position
+            // index is kept.
+            fold_set(
+                &replay.seq[p as usize + 1..],
+                addrs[i],
+                addrs,
+                max_level,
+                0,
+                hist,
+                bucket,
+            );
             replay.seq[p as usize] = ABSENT;
             replay.dead += 1;
         }
@@ -327,12 +307,57 @@ fn fold_chunk(
     }
 }
 
+/// Folds one conflict set — the non-tombstone entries of `members`, all
+/// sharing `owner`'s row at `start_level` — into `hist[start_level..]`.
+///
+/// Each member is bucketed once by its clamped shared-row depth against
+/// the owner (`trailing_zeros` of the address xor; distinct unique
+/// addresses make the xor nonzero, and the `min` also absorbs the
+/// unreachable `trailing_zeros == 32`). A suffix-sum walk then visits the
+/// levels: at level `l` the set contributes `d_l` = #{members with shared
+/// depth ≥ l}, so `d_start = |C|` and each step retires `bucket[l]`.
+/// Every member's clamped depth is ≤ `max_level`, so `d` hits zero no
+/// later than one past it — and `d == 0` means every remaining bucket is
+/// already zero, which is what lets `take` leave `bucket` clean for the
+/// next set. Buckets below `start_level` are never touched: members share
+/// the owner's low `start_level` address bits by construction.
+#[inline]
+pub(crate) fn fold_set(
+    members: &[u32],
+    owner: u32,
+    addrs: &[u32],
+    max_level: usize,
+    start_level: usize,
+    hist: &mut [Vec<u64>],
+    bucket: &mut [u64],
+) {
+    let mut d: u64 = 0;
+    for &x in members {
+        if x != ABSENT {
+            let b = ((addrs[x as usize] ^ owner).trailing_zeros() as usize).min(max_level);
+            bucket[b] += 1;
+            d += 1;
+        }
+    }
+    let mut l = start_level;
+    while d > 0 {
+        let du = d as usize;
+        let h = &mut hist[l];
+        if h.len() <= du {
+            h.resize(du + 1, 0);
+        }
+        h[du] += 1;
+        d -= std::mem::take(&mut bucket[l]);
+        l += 1;
+    }
+}
+
 /// Turns the raw `hist[l][d]` counts into [`DepthProfile`]s, exactly like
 /// the materialized postlude: every non-first occurrence falls in exactly
 /// one row per level; those not recorded during the fold had zero same-row
-/// conflicts. Shared by the serial and parallel paths, so byte-identity
-/// reduces to the raw counts matching.
-fn finalize(hist: Vec<Vec<u64>>, stripped: &StrippedTrace) -> Vec<DepthProfile> {
+/// conflicts. Shared by the serial and parallel paths and by the hybrid
+/// engine, so byte-identity reduces to the raw counts matching.
+pub(crate) fn finalize(hist: Vec<Vec<u64>>, stripped: &StrippedTrace) -> Vec<DepthProfile> {
     let total = stripped.total_len() as u64;
     let unique = stripped.unique_len() as u64;
     let non_cold = total - unique;

@@ -268,7 +268,7 @@ mod tests {
                 .map(|_| Record::read(Address::new(rng.gen_range(0u32..64))))
                 .collect();
             let budget = rng.gen_range(0u64..30);
-            for engine in [Engine::Streamed, Engine::DepthFirst, Engine::TreeTable] {
+            for engine in [Engine::Hybrid, Engine::DepthFirst, Engine::TreeTable] {
                 let result = DesignSpaceExplorer::new(&trace)
                     .engine(engine)
                     .explore(MissBudget::Absolute(budget))

@@ -14,6 +14,10 @@
 //!   needs;
 //! * [`Value::parse`] is a strict recursive-descent reader (UTF-8 escapes,
 //!   surrogate pairs, nested containers) that reports byte offsets on error.
+//!   Containers nest at most [`MAX_DEPTH`] deep: the reader recurses once
+//!   per level, so an unbounded line of `[` would otherwise overflow the
+//!   stack and abort the whole process — a service reading untrusted
+//!   lines answers [`JsonErrorKind::TooDeep`] instead.
 //!
 //! # Examples
 //!
@@ -251,6 +255,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -288,9 +293,26 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest container nesting [`Value::parse`] accepts. Real job specs
+/// and reports nest a handful of levels; 128 leaves ample room while
+/// keeping the reader's recursion (and the recursive drop of the parsed
+/// value) far from the smallest thread stacks.
+pub const MAX_DEPTH: usize = 128;
+
+/// What kind of input a [`JsonError`] rejected.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// Not JSON: a malformed token, a missing delimiter, trailing input.
+    Syntax,
+    /// Well-formed so far, but containers nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse failure: what went wrong and the byte offset where.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
+    /// The class of failure.
+    pub kind: JsonErrorKind,
     /// What the parser expected or rejected.
     pub message: String,
     /// 0-based byte offset into the input.
@@ -308,14 +330,30 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn err(&self, message: &str) -> JsonError {
         JsonError {
+            kind: JsonErrorKind::Syntax,
             message: message.to_owned(),
             offset: self.pos,
         }
+    }
+
+    /// Opens one container level, refusing to go past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                kind: JsonErrorKind::TooDeep,
+                message: format!("containers nest deeper than {MAX_DEPTH} levels"),
+                offset: self.pos,
+            });
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek(&self) -> Option<u8> {
@@ -352,8 +390,18 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => {
+                self.enter()?;
+                let array = self.array();
+                self.depth -= 1;
+                array
+            }
+            Some(b'{') => {
+                self.enter()?;
+                let object = self.object();
+                self.depth -= 1;
+                object
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -537,6 +585,7 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Value::Float)
             .map_err(|_| JsonError {
+                kind: JsonErrorKind::Syntax,
                 message: "invalid number".to_owned(),
                 offset: start,
             })
@@ -678,6 +727,50 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a[1].get("b"), Some(&Value::Null));
         assert_eq!(v.get("c").and_then(Value::as_str), Some("d"));
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let text = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = &Value::parse(&text).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().unwrap()[0];
+        }
+        assert_eq!(v, &Value::Array(Vec::new()));
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Value::parse(&objects).is_ok());
+    }
+
+    /// One level past the limit is a typed error at the offending bracket,
+    /// and a line far deeper — once a stack overflow that aborted the
+    /// process — fails the same way.
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let text = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Value::parse(&text).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        let mixed = format!("{}0", r#"[{"k":"#.repeat(MAX_DEPTH));
+        assert_eq!(
+            Value::parse(&mixed).unwrap_err().kind,
+            JsonErrorKind::TooDeep
+        );
+        let err = Value::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        assert!(err.to_string().contains("deeper than 128"), "{err}");
+        let err = parse_jsonl(&format!("{{}}\n{}\n", "{\"a\":".repeat(200_000))).unwrap_err();
+        assert_eq!((err.line, err.error.kind), (2, JsonErrorKind::TooDeep));
+    }
+
+    #[test]
+    fn syntax_errors_are_kind_syntax() {
+        assert_eq!(
+            Value::parse("[1,]").unwrap_err().kind,
+            JsonErrorKind::Syntax
+        );
+        // Depth is released on the way out: siblings never accumulate.
+        let wide = format!("[{}[]]", "[],".repeat(4 * MAX_DEPTH));
+        assert!(Value::parse(&wide).is_ok());
     }
 
     #[test]

@@ -57,13 +57,16 @@ pub struct ServiceConfig {
     /// Forces tree/table artifact retention whatever `engine` says, so the
     /// checks have something to verify.
     pub validate: bool,
-    /// The analytical engine workers run. The default streamed engine
-    /// fuses the MRCT replay with the postlude and analyzes without
-    /// materializing the BCAT/MRCT (O(N') memory); [`Engine::TreeTable`]
-    /// retains them (all engines produce identical results).
+    /// The analytical engine workers run. The default hybrid engine
+    /// analyzes without materializing the BCAT/MRCT (O(N') scratch);
+    /// [`Engine::TreeTable`] retains them (all engines produce identical
+    /// results).
     pub engine: Engine,
     /// Worker count for [`Engine::DepthFirstParallel`] (`None` = available
-    /// parallelism). Ignored by the serial engines.
+    /// parallelism); `≥ 2` also opts the hybrid into the chunked parallel
+    /// fold on small traces, as [`cachedse_core::prepare_stripped`]
+    /// describes.
+    /// Ignored by the serial engines.
     pub threads: Option<std::num::NonZeroUsize>,
     /// Backing artifact store attached to the cache (`None` = memory-only).
     /// With a store, analyses write through and survive both in-memory
@@ -713,12 +716,7 @@ mod tests {
     fn all_engines_answer_identically() {
         let spec = || loop_spec("engines", 40, 2);
         let mut results = Vec::new();
-        for engine in [
-            Engine::Streamed,
-            Engine::DepthFirst,
-            Engine::DepthFirstParallel,
-            Engine::TreeTable,
-        ] {
+        for engine in Engine::ALL {
             let service = Service::start(ServiceConfig {
                 workers: 1,
                 engine,

@@ -76,6 +76,12 @@ fn server_survives_malformed_requests_timeouts_and_saturation() {
     client.send(r#"{"trace":{},"budget":{"misses":1}}"#);
     assert_eq!(error_kind(&client.recv()), Some("bad-spec"));
 
+    // ... and a line nested far past the JSON reader's depth limit (it
+    //    once overflowed the connection thread's stack and aborted the
+    //    whole server).
+    client.send(&"[".repeat(200_000));
+    assert_eq!(error_kind(&client.recv()), Some("bad-spec"));
+
     // ... and an unknown op.
     client.send(r#"{"op":"dance"}"#);
     assert_eq!(error_kind(&client.recv()), Some("bad-spec"));

@@ -15,7 +15,7 @@
 //! address_bits     u32       width of the stripped trace's addresses
 //! stats            3 × u64   total N, unique N', max_misses
 //! engine           u32       0 depth-first, 1 parallel, 2 tree-table,
-//!                            3 streamed
+//!                            3 streamed (decodes as hybrid), 4 hybrid
 //! unique           len + u32[]   unique addresses in identifier order
 //! ids              len + u32[]   the access order as identifiers
 //! profiles         len, then per profile:
@@ -145,12 +145,17 @@ pub fn encode(key: &ArtifactKey, artifacts: &TraceArtifacts) -> Vec<u8> {
     buf
 }
 
+/// The engine tag of an entry. Tags are append-only: entries written
+/// before an engine existed keep decoding. Tag 3 was the streamed fold,
+/// no longer a selectable engine; the hybrid produces the same bytes and
+/// runs that fold unchanged on small traces, so tag 3 decodes as
+/// [`Engine::Hybrid`].
 fn engine_code(engine: Engine) -> u32 {
     match engine {
         Engine::DepthFirst => 0,
         Engine::DepthFirstParallel => 1,
         Engine::TreeTable => 2,
-        Engine::Streamed => 3,
+        Engine::Hybrid => 4,
     }
 }
 
@@ -159,7 +164,7 @@ fn engine_of(code: u32) -> Result<Engine, StoreError> {
         0 => Ok(Engine::DepthFirst),
         1 => Ok(Engine::DepthFirstParallel),
         2 => Ok(Engine::TreeTable),
-        3 => Ok(Engine::Streamed),
+        3 | 4 => Ok(Engine::Hybrid),
         other => Err(StoreError::Corrupt(format!("unknown engine code {other}"))),
     }
 }
@@ -416,7 +421,7 @@ mod tests {
         let trace = generate::working_set_phases(2, 150, 32, 9);
         let key = ArtifactKey::of(&trace, trace.address_bits());
         let artifacts =
-            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::Streamed, None, false)
+            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::Hybrid, None, false)
                 .unwrap();
         assert!(artifacts.tree.is_none());
         let bytes = encode(&key, &artifacts);
@@ -425,7 +430,7 @@ mod tests {
         let (decoded_key, decoded) = decode(&bytes).unwrap();
         assert_eq!(decoded_key, key);
         assert_eq!(decoded, artifacts);
-        assert_eq!(decoded.exploration.engine(), Engine::Streamed);
+        assert_eq!(decoded.exploration.engine(), Engine::Hybrid);
     }
 
     #[test]
@@ -439,6 +444,58 @@ mod tests {
         let (decoded_key, decoded) = decode(&bytes).unwrap();
         assert_eq!(decoded_key, key);
         assert_eq!(decoded, artifacts);
+    }
+
+    /// Byte offset of the engine tag: the flags word, the address width,
+    /// and the three trace statistics follow the key.
+    const ENGINE_AT: usize = FLAGS_AT + 4 + 4 + 24;
+
+    #[test]
+    fn every_engine_tag_round_trips() {
+        let trace = generate::working_set_phases(2, 150, 32, 9);
+        let key = ArtifactKey::of(&trace, trace.address_bits());
+        for (engine, tag) in [
+            (Engine::DepthFirst, 0u32),
+            (Engine::DepthFirstParallel, 1),
+            (Engine::TreeTable, 2),
+            (Engine::Hybrid, 4),
+        ] {
+            let artifacts =
+                TraceArtifacts::build_with(&trace, key.max_index_bits, engine, None, false)
+                    .unwrap();
+            let bytes = encode(&key, &artifacts);
+            let stored = u32::from_le_bytes(bytes[ENGINE_AT..ENGINE_AT + 4].try_into().unwrap());
+            assert_eq!(stored, tag, "{engine}");
+            let (_, decoded) = decode(&bytes).unwrap();
+            assert_eq!(decoded.exploration.engine(), engine);
+            assert_eq!(decoded, artifacts, "{engine}");
+        }
+    }
+
+    /// Entries written under the retired streamed tag decode as the
+    /// hybrid, profiles unchanged.
+    #[test]
+    fn streamed_tag_decodes_as_hybrid() {
+        let trace = generate::working_set_phases(2, 150, 32, 9);
+        let key = ArtifactKey::of(&trace, trace.address_bits());
+        let artifacts =
+            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::Hybrid, None, false)
+                .unwrap();
+        let mut bytes = encode(&key, &artifacts);
+        bytes[ENGINE_AT..ENGINE_AT + 4].copy_from_slice(&3u32.to_le_bytes());
+        reseal(&mut bytes);
+        let (_, decoded) = decode(&bytes).unwrap();
+        assert_eq!(decoded, artifacts);
+    }
+
+    #[test]
+    fn unknown_engine_tag_is_corrupt() {
+        let (key, artifacts) = sample(false);
+        let mut bytes = encode(&key, &artifacts);
+        bytes[ENGINE_AT..ENGINE_AT + 4].copy_from_slice(&5u32.to_le_bytes());
+        reseal(&mut bytes);
+        let err = decode(&bytes).unwrap_err().to_string();
+        assert!(err.contains("unknown engine code 5"), "{err}");
     }
 
     #[test]

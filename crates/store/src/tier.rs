@@ -399,7 +399,7 @@ mod tests {
         let full = TraceArtifacts::build(&trace, key.max_index_bits).unwrap();
         assert!(full.tree.is_some());
         for engine in [
-            Engine::Streamed,
+            Engine::Hybrid,
             Engine::DepthFirst,
             Engine::DepthFirstParallel,
         ] {

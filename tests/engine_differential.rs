@@ -1,21 +1,27 @@
-//! Differential oracle for the depth-first engines.
+//! Differential oracle for the depth-first and hybrid engines.
 //!
-//! The scratch-arena serial engine and the size-aware parallel scheduler
-//! must produce *byte-identical* per-level conflict-depth profiles to the
-//! tree+table reference (`Bcat` + `Mrct` + postlude) — that equality is what
-//! lets the serve cache key stay engine-free. Two corpora exercise it:
+//! The scratch-arena serial engine, the size-aware parallel scheduler and
+//! the default hybrid (depth-first above a unique-count crossover, streamed
+//! fold below it) must produce *byte-identical* per-level conflict-depth
+//! profiles to the tree+table reference (`Bcat` + `Mrct` + postlude) — that
+//! equality is what lets the serve cache key stay engine-free. Three
+//! corpora exercise it:
 //!
-//! 1. every bundled kernel (both captured sides) at small parameters, and
-//! 2. a seeded SplitMix64 sweep of synthetic traces covering degenerate
+//! 1. every bundled kernel (both captured sides) at small parameters,
+//! 2. all 24 kernel traces at full size (release tier, `#[ignore]`d in the
+//!    debug run), and
+//! 3. a seeded SplitMix64 sweep of synthetic traces covering degenerate
 //!    shapes (single address, all-distinct, heavy reuse, power-of-two strides).
 //!
 //! Parallel runs are pinned at 1, 2, and 8 workers: the work-splitting
-//! threshold is thread-count independent, so every pinning must agree.
+//! threshold is thread-count independent, so every pinning must agree. The
+//! hybrid's own edge cases (crossover boundary sizes, a frontier at the last
+//! level) need an explicit crossover and live in its unit tests.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
-use cachedse::core::{dfs, postlude, Bcat, Mrct};
+use cachedse::core::{dfs, hybrid, postlude, Bcat, Mrct};
 use cachedse::sim::onepass::DepthProfile;
 use cachedse::trace::strip::StrippedTrace;
 use cachedse::trace::{Address, Record, Trace};
@@ -110,8 +116,8 @@ fn kernel_oracles() -> &'static [OracleCase] {
     })
 }
 
-/// Asserts the serial and every pinned-worker parallel engine reproduce a
-/// prebuilt golden.
+/// Asserts the serial and every pinned-worker parallel engine, and the
+/// hybrid, reproduce a prebuilt golden.
 fn assert_engines_match_golden(
     label: &str,
     stripped: &StrippedTrace,
@@ -131,6 +137,17 @@ fn assert_engines_match_golden(
             "{label}: parallel dfs ({workers} workers) diverged from tree+table"
         );
     }
+    assert_eq!(
+        hybrid::level_profiles(stripped, bits),
+        golden,
+        "{label}: hybrid diverged from tree+table"
+    );
+    let two = NonZeroUsize::new(2).expect("nonzero");
+    assert_eq!(
+        hybrid::level_profiles_parallel(stripped, bits, two),
+        golden,
+        "{label}: hybrid (2 workers) diverged from tree+table"
+    );
 }
 
 /// Asserts all three engines agree on `trace`, at every pinned worker count.
@@ -143,6 +160,36 @@ fn assert_engines_agree(label: &str, trace: &Trace) {
 fn all_kernels_all_engines_agree() {
     for case in kernel_oracles() {
         assert_engines_match_golden(&case.label, &case.stripped, case.bits, &case.golden);
+    }
+}
+
+/// The hybrid against both oracles on the 24 full-size kernel traces: the
+/// data traces hold 296–24 642 unique references, so this covers folds at
+/// the root, shallow depth-first levels and frontier nodes at several
+/// levels. Ignored in the debug run (the tree+table oracle takes minutes on
+/// the big data traces without optimizations); run it in release with
+/// `--include-ignored`.
+#[test]
+#[ignore = "full-size sweep; run in release via --include-ignored"]
+fn all_24_full_size_kernels_hybrid_matches_both_oracles() {
+    for kernel in cachedse::workloads::all() {
+        let run = kernel.capture();
+        for (side, trace) in [("data", &run.data), ("instr", &run.instr)] {
+            let label = format!("{}.{side}", run.name);
+            let stripped = StrippedTrace::from_trace(trace);
+            let bits = trace.address_bits();
+            let hybrid = hybrid::level_profiles(&stripped, bits);
+            assert_eq!(
+                hybrid,
+                dfs::level_profiles(&stripped, bits),
+                "{label}: hybrid diverged from depth-first"
+            );
+            assert_eq!(
+                hybrid,
+                tree_table_profiles(&stripped, bits),
+                "{label}: hybrid diverged from tree+table"
+            );
+        }
     }
 }
 
